@@ -37,6 +37,39 @@ func packDeps(deps [][]int32) [][]int32 {
 	return out
 }
 
+// packEdges lays a rank's flat (op, dep) edge list out as the per-op
+// dependency table over one shared arena. It is a stable counting sort by
+// op: each op's deps keep their insertion order, so the result equals
+// packDeps of the same table built list by list.
+func packEdges(edges []depEdge, nops int) [][]int32 {
+	out := make([][]int32, nops)
+	if len(edges) == 0 {
+		return out
+	}
+	// offs[i+1] counts op i's edges; the prefix sum turns offs[i] into
+	// op i's first arena slot, and the fill advances it to op i's end.
+	offs := make([]int32, nops+1)
+	for _, e := range edges {
+		offs[e.op+1]++
+	}
+	for i := 1; i < len(offs); i++ {
+		offs[i] += offs[i-1]
+	}
+	arena := make([]int32, len(edges))
+	for _, e := range edges {
+		arena[offs[e.op]] = e.dep
+		offs[e.op]++
+	}
+	start := int32(0)
+	for i := range out {
+		if end := offs[i]; end > start {
+			out[i] = arena[start:end:end]
+			start = end
+		}
+	}
+	return out
+}
+
 // depArena accumulates dependency lists in decode order when per-op
 // counts are not known up front (the streaming decoders). Values append
 // to one growing buffer; endList marks list boundaries; views slices the

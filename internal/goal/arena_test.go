@@ -141,10 +141,92 @@ func TestBuildAllocsPerRank(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		_ = b.Build()
 	})
-	// Schedule + Ranks + Ops + 2 dep tables + 1 arena (IRequires is all
-	// empty, no arena) ≈ 6; leave headroom but stay far below the ~1000
-	// a per-op copy would cost.
+	// Schedule + Ranks + Ops + 2 dep tables + 1 arena and its offsets
+	// (IRequires is all empty, no arena) ≈ 7; leave headroom but stay far
+	// below the ~1000 a per-op copy would cost.
 	if allocs > 12 {
-		t.Fatalf("Build allocated %.0f times for a 1000-op rank; arena layout should need ~6", allocs)
+		t.Fatalf("Build allocated %.0f times for a 1000-op rank; arena layout should need ~7", allocs)
+	}
+}
+
+// TestBuilderAllocsPerOp pins the flat-edge builder: constructing a
+// 10k-op dependency chain, Build included, costs amortised slice growth,
+// not an allocation per op or per dependency.
+func TestBuilderAllocsPerOp(t *testing.T) {
+	const n = 10000
+	allocs := testing.AllocsPerRun(5, func() {
+		b := NewBuilder(2)
+		rb := b.Rank(1)
+		prev := rb.Calc(1)
+		for i := 1; i < n; i++ {
+			cur := b.Rank(1).Calc(1)
+			rb.Requires(cur, prev)
+			prev = cur
+		}
+		_ = b.Build()
+	})
+	// about 20 growth steps each for ops and edges plus a handful for
+	// Build; a per-op list would cost ≥ n.
+	t.Logf("%d-op chain: %.0f allocations", n, allocs)
+	if allocs > n/100 {
+		t.Fatalf("building a %d-op chain allocated %.0f times, want ≤ %d", n, allocs, n/100)
+	}
+}
+
+// TestBuilderPacksEdgesInOrder checks Build's counting sort: edges added
+// out of op order land in each op's list in insertion order, exactly as a
+// per-op append would have left them.
+func TestBuilderPacksEdgesInOrder(t *testing.T) {
+	b := NewBuilder(1)
+	rb := b.Rank(0)
+	for i := 0; i < 5; i++ {
+		rb.Calc(1)
+	}
+	rb.Requires(4, 2)
+	rb.Requires(1, 0)
+	rb.Requires(4, 0, 3)
+	rb.IRequires(3, 1)
+	rb.Requires(4, 1)
+	rb.IRequires(3, 0)
+	s := b.MustBuild()
+	wantReq := [][]int32{nil, {0}, nil, nil, {2, 0, 3, 1}}
+	wantIReq := [][]int32{nil, nil, nil, {1, 0}, nil}
+	if !reflect.DeepEqual(s.Ranks[0].Requires, wantReq) || !reflect.DeepEqual(s.Ranks[0].IRequires, wantIReq) {
+		t.Fatalf("Requires %v IRequires %v, want %v %v", s.Ranks[0].Requires, s.Ranks[0].IRequires, wantReq, wantIReq)
+	}
+	// the views are capped: growing one list must not clobber the next
+	_ = append(s.Ranks[0].Requires[1], 99)
+	if s.Ranks[0].Requires[4][0] != 2 {
+		t.Fatalf("append through a view corrupted its neighbour: %v", s.Ranks[0].Requires[4])
+	}
+	// Build leaves the builder usable and shares nothing with its output
+	rb.Requires(2, 1)
+	if s.Ranks[0].Requires[2] != nil {
+		t.Fatal("a built schedule changed when its builder grew")
+	}
+	if got := b.Build().Ranks[0].Requires[2]; !reflect.DeepEqual(got, []int32{1}) {
+		t.Fatalf("rebuilt Requires[2] = %v, want [1]", got)
+	}
+}
+
+func TestBuilderDependencyOnMissingOpPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		add  func(rb *RankBuilder)
+	}{
+		{"requires past end", func(rb *RankBuilder) { rb.Requires(1, 0) }},
+		{"irequires past end", func(rb *RankBuilder) { rb.IRequires(5, 0) }},
+		{"negative op", func(rb *RankBuilder) { rb.Requires(-1, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rb := NewBuilder(1).Rank(0)
+			rb.Calc(1)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("dependency on a missing op accepted")
+				}
+			}()
+			tc.add(rb)
+		})
 	}
 }

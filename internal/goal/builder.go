@@ -9,14 +9,8 @@ type OpID int32
 // trace converter (Schedgen, the NCCL 4-stage pipeline, Direct Drive) and
 // workload generator. Builders are not safe for concurrent use.
 type Builder struct {
-	ranks   []rankBuilder
+	ranks   []RankBuilder
 	comment string
-}
-
-type rankBuilder struct {
-	ops       []Op
-	requires  [][]int32
-	irequires [][]int32
 }
 
 // NewBuilder creates a builder for a schedule with nranks ranks.
@@ -24,7 +18,11 @@ func NewBuilder(nranks int) *Builder {
 	if nranks <= 0 {
 		panic("goal: NewBuilder with non-positive rank count")
 	}
-	return &Builder{ranks: make([]rankBuilder, nranks)}
+	b := &Builder{ranks: make([]RankBuilder, nranks)}
+	for r := range b.ranks {
+		b.ranks[r].r = r
+	}
+	return b
 }
 
 // SetComment attaches a free-form comment stored with the schedule.
@@ -33,32 +31,39 @@ func (b *Builder) SetComment(c string) { b.comment = c }
 // NumRanks returns the schedule's rank count.
 func (b *Builder) NumRanks() int { return len(b.ranks) }
 
-// Rank returns the per-rank builder handle for rank r.
+// Rank returns the per-rank builder handle for rank r. Handles are owned
+// by the builder, so repeated calls return the same handle and allocate
+// nothing.
 func (b *Builder) Rank(r int) *RankBuilder {
 	if r < 0 || r >= len(b.ranks) {
 		panic(fmt.Sprintf("goal: rank %d out of range [0,%d)", r, len(b.ranks)))
 	}
-	return &RankBuilder{b: b, r: r}
+	return &b.ranks[r]
 }
 
-// RankBuilder adds ops and dependencies to one rank.
+// RankBuilder adds ops and dependencies to one rank. Dependencies are kept
+// as flat edge lists in insertion order, so adding an op or an edge costs
+// an amortised append instead of a small per-op slice; Build packs them
+// into the schedule's per-op arena layout.
 type RankBuilder struct {
-	b *Builder
-	r int
+	r         int
+	ops       []Op
+	requires  []depEdge
+	irequires []depEdge
 }
+
+// depEdge records that op depends on dep.
+type depEdge struct{ op, dep int32 }
 
 // Rank returns the rank index this builder appends to.
 func (rb *RankBuilder) Rank() int { return rb.r }
 
 // NumOps returns the number of ops added to this rank so far.
-func (rb *RankBuilder) NumOps() int { return len(rb.b.ranks[rb.r].ops) }
+func (rb *RankBuilder) NumOps() int { return len(rb.ops) }
 
 func (rb *RankBuilder) add(op Op) OpID {
-	rk := &rb.b.ranks[rb.r]
-	rk.ops = append(rk.ops, op)
-	rk.requires = append(rk.requires, nil)
-	rk.irequires = append(rk.irequires, nil)
-	return OpID(len(rk.ops) - 1)
+	rb.ops = append(rb.ops, op)
+	return OpID(len(rb.ops) - 1)
 }
 
 // Calc appends a computation of the given nanoseconds on stream 0.
@@ -94,19 +99,23 @@ func (rb *RankBuilder) RecvOn(size int64, src int, tag int32, cpu int32) OpID {
 // Requires adds completion dependencies: op starts only after each dep has
 // completed.
 func (rb *RankBuilder) Requires(op OpID, deps ...OpID) {
-	rk := &rb.b.ranks[rb.r]
-	for _, d := range deps {
-		rk.requires[op] = append(rk.requires[op], int32(d))
-	}
+	rb.requires = rb.appendEdges(rb.requires, op, deps)
 }
 
 // IRequires adds start dependencies: op starts only after each dep has
 // started.
 func (rb *RankBuilder) IRequires(op OpID, deps ...OpID) {
-	rk := &rb.b.ranks[rb.r]
-	for _, d := range deps {
-		rk.irequires[op] = append(rk.irequires[op], int32(d))
+	rb.irequires = rb.appendEdges(rb.irequires, op, deps)
+}
+
+func (rb *RankBuilder) appendEdges(edges []depEdge, op OpID, deps []OpID) []depEdge {
+	if op < 0 || int(op) >= len(rb.ops) {
+		panic(fmt.Sprintf("goal: rank %d: dependency on op %d out of range [0,%d)", rb.r, op, len(rb.ops)))
 	}
+	for _, d := range deps {
+		edges = append(edges, depEdge{int32(op), int32(d)})
+	}
+	return edges
 }
 
 // Chain links ops into a sequential requires chain (each op requires its
@@ -132,8 +141,8 @@ func (b *Builder) Build() *Schedule {
 		rk := &b.ranks[r]
 		rp := &s.Ranks[r]
 		rp.Ops = append([]Op(nil), rk.ops...)
-		rp.Requires = packDeps(rk.requires)
-		rp.IRequires = packDeps(rk.irequires)
+		rp.Requires = packEdges(rk.requires, len(rk.ops))
+		rp.IRequires = packEdges(rk.irequires, len(rk.ops))
 	}
 	return s
 }

@@ -87,7 +87,7 @@ type errorResponse struct {
 // fresh Service and it closes it. Both atlahsd and `atlahs -serve` are
 // thin shells over this.
 func ListenAndServe(svc *Service, addr string) error {
-	srv := &http.Server{Addr: addr, Handler: NewHandler(svc)}
+	srv := newServer(svc, addr)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -110,6 +110,26 @@ func ListenAndServe(svc *Service, addr string) error {
 		return err
 	}
 	return nil
+}
+
+// Connection timeouts of the listening server. A client that trickles its
+// request header, or parks an idle keep-alive connection, is cut off
+// instead of holding a connection open forever. There is deliberately no
+// WriteTimeout: event streams and ?wait=1 submissions legitimately stay
+// open for as long as a simulation runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the http.Server ListenAndServe runs.
+func newServer(svc *Service, addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           NewHandler(svc),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // NewHandler wraps a Service in its HTTP API.

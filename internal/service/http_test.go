@@ -577,3 +577,23 @@ func TestHTTPSweeps(t *testing.T) {
 		})
 	}
 }
+
+// TestServerTimeouts pins the listening server's connection limits: a
+// slow or idle client cannot hold a connection open forever, while
+// long-lived responses (SSE, ?wait=1) are never cut by a write deadline.
+func TestServerTimeouts(t *testing.T) {
+	svc := newService(t, Config{Jobs: 1})
+	srv := newServer(svc, "127.0.0.1:0")
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadHeaderTimeout > time.Minute {
+		t.Errorf("ReadHeaderTimeout = %v, want a bound of at most a minute", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want a bound", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none: event streams and ?wait=1 run as long as a simulation", srv.WriteTimeout)
+	}
+	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+		t.Errorf("server not wired: addr %q, handler %v", srv.Addr, srv.Handler)
+	}
+}

@@ -479,26 +479,26 @@ func (s *Service) execute(r *run) {
 	wall := time.Since(start)
 	s.metrics.runWall.Observe(wall.Seconds())
 	if err != nil {
-		s.finishRun(r, StatusFailed, wall, err)
+		s.finishRun(r, wall, nil, nil, err)
 		return
 	}
 	s.metrics.foldRun(res.Metrics)
 	sweep := runSweep(r.id, &r.spec, res)
 	var buf bytes.Buffer
 	if err := results.EncodeJSON(&buf, sweep); err != nil {
-		s.finishRun(r, StatusFailed, wall, fmt.Errorf("service: encoding run artifact: %w", err))
+		s.finishRun(r, wall, nil, nil, fmt.Errorf("service: encoding run artifact: %w", err))
 		return
 	}
 	if s.store != nil {
 		if err := s.store.Save(sweep); err != nil {
-			s.finishRun(r, StatusFailed, wall, err)
+			s.finishRun(r, wall, nil, nil, err)
 			return
 		}
 		// The sidecar makes the artifact trustworthy again after a restart;
 		// a run whose sidecar cannot be written is failed like one whose
 		// artifact cannot, so "done with a store" always means "restorable".
 		if err := s.saveMeta(r, res); err != nil {
-			s.finishRun(r, StatusFailed, wall, err)
+			s.finishRun(r, wall, nil, nil, err)
 			return
 		}
 		// A trace is observability, not a result: failing to persist one
@@ -509,24 +509,30 @@ func (s *Service) execute(r *run) {
 			}
 		}
 	}
-	r.complete(res, buf.Bytes())
-	s.finishRun(r, StatusDone, wall, nil)
+	s.finishRun(r, wall, res, buf.Bytes(), nil)
 }
 
-// finishRun records a terminal run everywhere it must land: the failure
-// state (done runs were completed by the caller), the outcome counter,
-// the structured log, and the eviction order.
-func (s *Service) finishRun(r *run, st Status, wall time.Duration, err error) {
+// finishRun records a terminal run everywhere it must land — the outcome
+// counter, the structured log and the eviction order — and then publishes
+// it: done with res and artifact, or failed with err. Publishing last
+// means a client released by the terminal event already finds the run in
+// the completion order that eviction and /v1/history read, and a retry
+// of a failed run can never be re-added to that order by the attempt it
+// replaced.
+func (s *Service) finishRun(r *run, wall time.Duration, res *sim.Result, artifact []byte, err error) {
 	if err != nil {
-		r.fail(err)
-	}
-	s.metrics.runs.With(string(st)).Inc()
-	if err != nil {
+		s.metrics.runs.With(string(StatusFailed)).Inc()
 		s.log.Warn("service: run failed", "run", r.id, "fingerprint", r.fp, "class", r.class, "wall", wall, "err", err)
 	} else {
+		s.metrics.runs.With(string(StatusDone)).Inc()
 		s.log.Info("service: run finished", "run", r.id, "fingerprint", r.fp, "class", r.class, "wall", wall, "dropped_events", r.drops.Load())
 	}
 	s.noteDone(r.id)
+	if err != nil {
+		r.fail(err)
+	} else {
+		r.complete(res, artifact)
+	}
 }
 
 // noteDone records a terminal run (done or failed — both stay

@@ -37,8 +37,21 @@ func GroupGPUs(gpuSched *goal.Schedule, gpusPerNode int, intraNsPerByte float64)
 		}
 	}
 
-	b := goal.NewBuilder(nnodes)
-	opMap := make([][]goal.OpID, ngpus)
+	// A node's program is its GPUs' programs laid end to end: op i of GPU
+	// g becomes op base[g]+i of node nodeOf(g). Dependencies are always
+	// GPU-local, hence node-local, and only shift by base[g], so every
+	// node table is sized up front from the GPU schedule's counts.
+	out := &goal.Schedule{Ranks: make([]goal.RankProgram, nnodes)}
+	base := make([]int32, ngpus)
+	for g := range gpuSched.Ranks {
+		if g%gpusPerNode != 0 {
+			base[g] = base[g-1] + int32(len(gpuSched.Ranks[g-1].Ops))
+		}
+	}
+	for n := range out.Ranks {
+		last := min((n+1)*gpusPerNode, ngpus) - 1
+		out.Ranks[n].Ops = make([]goal.Op, int(base[last])+len(gpuSched.Ranks[last].Ops))
+	}
 
 	type pairKey struct {
 		src, dst int
@@ -54,78 +67,65 @@ func GroupGPUs(gpuSched *goal.Schedule, gpusPerNode int, intraNsPerByte float64)
 		nextTag++
 		return denseTags[k]
 	}
-	intraSends := map[pairKey][]goal.OpID{}
-	intraRecvs := map[pairKey][]goal.OpID{}
-	intraRecvNode := map[pairKey]int{}
+	intraSends := map[pairKey][]int32{}
+	intraRecvs := map[pairKey][]int32{}
 
 	// pass 1: create ops
 	for g := 0; g < ngpus; g++ {
 		node := nodeOf(g)
 		local := int32(g % gpusPerNode)
-		rb := b.Rank(node)
-		rp := &gpuSched.Ranks[g]
-		opMap[g] = make([]goal.OpID, len(rp.Ops))
-		for i := range rp.Ops {
-			op := &rp.Ops[i]
+		ops := out.Ranks[node].Ops[base[g]:]
+		for i := range gpuSched.Ranks[g].Ops {
+			op := &gpuSched.Ranks[g].Ops[i]
+			id := base[g] + int32(i)
 			cpu := local*streamsPerGPU + op.CPU
+			h := int(op.Peer)
 			switch op.Kind {
 			case goal.KindCalc:
-				opMap[g][i] = rb.CalcOn(op.Size, cpu)
+				ops[i] = goal.Op{Kind: goal.KindCalc, Peer: -1, Size: op.Size, CPU: cpu}
 			case goal.KindSend:
-				h := int(op.Peer)
 				key := pairKey{g, h, op.Tag}
 				if nodeOf(h) == node {
-					id := rb.CalcOn(int64(float64(op.Size)*intraNsPerByte), cpu)
-					opMap[g][i] = id
+					ops[i] = goal.Op{Kind: goal.KindCalc, Peer: -1, Size: int64(float64(op.Size) * intraNsPerByte), CPU: cpu}
 					intraSends[key] = append(intraSends[key], id)
 				} else {
-					opMap[g][i] = rb.SendOn(op.Size, nodeOf(h), tagFor(key), cpu)
+					ops[i] = goal.Op{Kind: goal.KindSend, Peer: int32(nodeOf(h)), Tag: tagFor(key), Size: op.Size, CPU: cpu}
 				}
 			case goal.KindRecv:
-				h := int(op.Peer)
 				key := pairKey{h, g, op.Tag}
 				if nodeOf(h) == node {
-					id := rb.CalcOn(0, cpu)
-					opMap[g][i] = id
+					ops[i] = goal.Op{Kind: goal.KindCalc, Peer: -1, CPU: cpu}
 					intraRecvs[key] = append(intraRecvs[key], id)
-					intraRecvNode[key] = node
 				} else {
 					tag := op.Tag
 					if tag != goal.AnyTag {
 						tag = tagFor(key)
 					}
-					opMap[g][i] = rb.RecvOn(op.Size, nodeOf(h), tag, cpu)
+					ops[i] = goal.Op{Kind: goal.KindRecv, Peer: int32(nodeOf(h)), Tag: tag, Size: op.Size, CPU: cpu}
 				}
 			}
 		}
 	}
 
-	// pass 2: copy dependencies (always GPU-local, hence node-local)
-	for g := 0; g < ngpus; g++ {
-		node := nodeOf(g)
-		rb := b.Rank(node)
-		rp := &gpuSched.Ranks[g]
-		for i := range rp.Ops {
-			for _, d := range rp.Requires[i] {
-				rb.Requires(opMap[g][i], opMap[g][d])
-			}
-			for _, d := range rp.IRequires[i] {
-				rb.IRequires(opMap[g][i], opMap[g][d])
-			}
-		}
-	}
-
-	// pass 3: pair intra-node transfers — the k-th receive depends on the
-	// k-th send of its (srcGPU, dstGPU, tag) stream
+	// pass 2: pair intra-node transfers — the k-th receive depends on the
+	// k-th send of its (srcGPU, dstGPU, tag) stream. pairDep[node][recv]
+	// holds that send, or -1.
+	pairDep := make([][]int32, nnodes)
 	for key, recvs := range intraRecvs {
 		sends := intraSends[key]
 		if len(sends) != len(recvs) {
 			return nil, fmt.Errorf("ncclgoal: intra-node pair %d->%d tag %d has %d sends but %d recvs",
 				key.src, key.dst, key.tag, len(sends), len(recvs))
 		}
-		rb := b.Rank(intraRecvNode[key])
-		for k := range recvs {
-			rb.Requires(recvs[k], sends[k])
+		node := nodeOf(key.dst)
+		if pairDep[node] == nil {
+			pairDep[node] = make([]int32, len(out.Ranks[node].Ops))
+			for i := range pairDep[node] {
+				pairDep[node][i] = -1
+			}
+		}
+		for k, r := range recvs {
+			pairDep[node][r] = sends[k]
 		}
 	}
 	for key, sends := range intraSends {
@@ -135,9 +135,71 @@ func GroupGPUs(gpuSched *goal.Schedule, gpusPerNode int, intraNsPerByte float64)
 		}
 	}
 
-	sch := b.Build()
-	if err := sch.Validate(); err != nil {
+	// pass 3: copy dependencies, shifted by base[g]; an intra-node receive
+	// additionally requires its paired send, after its GPU-local deps
+	for n := range out.Ranks {
+		first := n * gpusPerNode
+		gpus := gpuSched.Ranks[first:min(first+gpusPerNode, ngpus)]
+		var err error
+		if out.Ranks[n].Requires, err = remapDeps(gpus, first, base[first:], requiresOf, pairDep[n]); err != nil {
+			return nil, err
+		}
+		if out.Ranks[n].IRequires, err = remapDeps(gpus, first, base[first:], irequiresOf, nil); err != nil {
+			return nil, err
+		}
+	}
+
+	if err := out.Validate(); err != nil {
 		return nil, err
 	}
-	return sch, nil
+	return out, nil
+}
+
+func requiresOf(rp *goal.RankProgram) [][]int32  { return rp.Requires }
+func irequiresOf(rp *goal.RankProgram) [][]int32 { return rp.IRequires }
+
+// remapDeps builds one node's dependency table from its GPUs' tables
+// (picked out of each GPU program by table; the node's first GPU is
+// first), shifting GPU g's deps by base[g] and appending pair[i] to node
+// op i where pair[i] >= 0. The lists are capped views into a single arena;
+// empty lists stay nil.
+func remapDeps(gpus []goal.RankProgram, first int, base []int32, table func(*goal.RankProgram) [][]int32, pair []int32) ([][]int32, error) {
+	nops, total := 0, 0
+	for g := range gpus {
+		deps := table(&gpus[g])
+		if len(deps) != len(gpus[g].Ops) {
+			return nil, fmt.Errorf("ncclgoal: GPU %d has %d ops but %d dependency lists", first+g, len(gpus[g].Ops), len(deps))
+		}
+		nops += len(deps)
+		for _, d := range deps {
+			total += len(d)
+		}
+	}
+	for _, p := range pair {
+		if p >= 0 {
+			total++
+		}
+	}
+	out := make([][]int32, nops)
+	arena := make([]int32, 0, total)
+	for g := range gpus {
+		n := int32(len(gpus[g].Ops))
+		for i, deps := range table(&gpus[g]) {
+			id := base[g] + int32(i)
+			start := len(arena)
+			for _, d := range deps {
+				if d < 0 || d >= n {
+					return nil, fmt.Errorf("ncclgoal: GPU %d op %d depends on op %d out of range [0,%d)", first+g, i, d, n)
+				}
+				arena = append(arena, base[g]+d)
+			}
+			if pair != nil && pair[id] >= 0 {
+				arena = append(arena, pair[id])
+			}
+			if end := len(arena); end > start {
+				out[id] = arena[start:end:end]
+			}
+		}
+	}
+	return out, nil
 }

@@ -18,8 +18,9 @@
 package ncclgoal
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"atlahs/internal/collective"
 	"atlahs/internal/goal"
@@ -80,7 +81,7 @@ func Generate(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
 // pendingOp is an NCCL record awaiting stage-3 decomposition, bracketed by
 // its entry and exit dummies in the owning stream chain.
 type pendingOp struct {
-	rec   nsys.Record
+	rec   *nsys.Record
 	entry goal.OpID
 	exit  goal.OpID
 }
@@ -105,64 +106,66 @@ func BuildGPUSchedule(rep *nsys.Report, cfg Config) (*goal.Schedule, error) {
 		}
 	}
 
+	// stages 1+2: per-stream chains with dummies around NCCL records. A
+	// GPU's CUDA streams become its compute streams 0, 1, ... in stream-id
+	// order.
+	perComm := map[string][]pendingOp{} // appended in (gpu, stream, time) order
+	maxStreams := 0
+	streams := rep.ByStream()
+	li := 0
+	for si, st := range streams {
+		if si > 0 && streams[si-1].GPU == st.GPU {
+			li++
+		} else {
+			li = 0
+		}
+		maxStreams = max(maxStreams, li+1)
+		rb := b.Rank(st.GPU)
+		cpu := int32(li)
+		var head goal.OpID = -1
+		lastEnd := t0
+		chain := func(id goal.OpID) {
+			if head >= 0 {
+				rb.Requires(id, head)
+			}
+			head = id
+		}
+		for _, ri := range st.Records {
+			rec := &rep.Records[ri]
+			if gap := rec.StartNs - lastEnd; gap > 0 {
+				chain(rb.CalcOn(gap, cpu))
+			}
+			switch rec.Kind {
+			case nsys.KindKernel:
+				// compute kernels are calc vertices with their measured
+				// duration
+				chain(rb.CalcOn(rec.EndNs-rec.StartNs, cpu))
+				lastEnd = rec.EndNs
+			case nsys.KindNCCL:
+				// bracket with dummies; the communication itself is
+				// re-simulated, so its traced duration is discarded
+				entry := rb.CalcOn(0, cpu)
+				chain(entry)
+				exit := rb.CalcOn(0, cpu)
+				rb.Requires(exit, entry)
+				head = exit
+				perComm[rec.Comm] = append(perComm[rec.Comm], pendingOp{rec: rec, entry: entry, exit: exit})
+				lastEnd = rec.EndNs
+			}
+		}
+	}
 	// the dedicated NCCL stream: decomposed communication ops occupy their
 	// own compute stream per GPU (NCCL runs on its own SM, paper Fig 4),
 	// so comm never falsely serialises with compute kernels. With
 	// ChannelStreams each channel gets ncclCPU + channel.
-	maxStreams := 0
-	for gpu := 0; gpu < rep.NGPUs; gpu++ {
-		if n := len(rep.Streams(gpu)); n > maxStreams {
-			maxStreams = n
-		}
-	}
 	ncclCPU := int32(maxStreams)
-
-	// stages 1+2: per-stream chains with dummies around NCCL records
-	perComm := map[string][]pendingOp{} // appended in (gpu, stream, time) order
-	for gpu := 0; gpu < rep.NGPUs; gpu++ {
-		rb := b.Rank(gpu)
-		for li, stream := range rep.Streams(gpu) {
-			cpu := int32(li)
-			recs := rep.StreamRecords(gpu, stream)
-			var head goal.OpID = -1
-			lastEnd := t0
-			chain := func(id goal.OpID) {
-				if head >= 0 {
-					rb.Requires(id, head)
-				}
-				head = id
-			}
-			for _, rec := range recs {
-				if gap := rec.StartNs - lastEnd; gap > 0 {
-					chain(rb.CalcOn(gap, cpu))
-				}
-				switch rec.Kind {
-				case nsys.KindKernel:
-					// compute kernels are calc vertices with their measured
-					// duration
-					chain(rb.CalcOn(rec.EndNs-rec.StartNs, cpu))
-					lastEnd = rec.EndNs
-				case nsys.KindNCCL:
-					// bracket with dummies; the communication itself is
-					// re-simulated, so its traced duration is discarded
-					entry := rb.CalcOn(0, cpu)
-					chain(entry)
-					exit := rb.CalcOn(0, cpu)
-					rb.Requires(exit, entry)
-					head = exit
-					perComm[rec.Comm] = append(perComm[rec.Comm], pendingOp{rec: rec, entry: entry, exit: exit})
-					lastEnd = rec.EndNs
-				}
-			}
-		}
-	}
 
 	// stage 3: decompose per communicator
 	commNames := make([]string, 0, len(perComm))
 	for name := range perComm {
 		commNames = append(commNames, name)
 	}
-	sort.Strings(commNames)
+	slices.Sort(commNames)
 	collInstance := 0
 	for ci, name := range commNames {
 		members := rep.Comms[name]
@@ -199,8 +202,8 @@ func decomposeComm(b *goal.Builder, name string, commIdx int32, members []int, o
 		perMember[i] = append(perMember[i], p)
 	}
 	for i := range perMember {
-		sort.SliceStable(perMember[i], func(a, c int) bool {
-			return perMember[i][a].rec.StartNs < perMember[i][c].rec.StartNs
+		slices.SortStableFunc(perMember[i], func(a, c pendingOp) int {
+			return cmp.Compare(a.rec.StartNs, c.rec.StartNs)
 		})
 	}
 	idx := make([]int, len(members))

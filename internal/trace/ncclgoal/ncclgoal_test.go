@@ -278,4 +278,19 @@ func TestGroupGPUsErrors(t *testing.T) {
 	if _, err := GroupGPUs(b2.Build(), 2, 1); err == nil {
 		t.Fatal("unpaired intra-node transfer accepted")
 	}
+	// a GPU-local dependency past the GPU's own ops must not be shifted
+	// into a neighbour GPU's range of the node program
+	b3 := goal.NewBuilder(2)
+	b3.Rank(0).Calc(1)
+	b3.Rank(1).Calc(1)
+	b3.Rank(1).Calc(1)
+	bad := b3.Build()
+	bad.Ranks[0].Requires[0] = []int32{1}
+	if _, err := GroupGPUs(bad, 2, 1); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("out-of-range GPU dependency accepted: %v", err)
+	}
+	bad.Ranks[0].Requires = nil
+	if _, err := GroupGPUs(bad, 2, 1); err == nil || !strings.Contains(err.Error(), "dependency lists") {
+		t.Fatalf("short dependency table accepted: %v", err)
+	}
 }

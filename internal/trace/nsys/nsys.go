@@ -13,10 +13,11 @@ package nsys
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
 // Record kinds.
@@ -113,6 +114,9 @@ func (r *Report) Validate() error {
 			if !found {
 				return fmt.Errorf("nsys: record %d: GPU %d not in communicator %q", i, rec.GPU, rec.Comm)
 			}
+			if rec.Root < 0 || rec.Root >= len(comm) {
+				return fmt.Errorf("nsys: record %d: root %d out of communicator %q range [0,%d)", i, rec.Root, rec.Comm, len(comm))
+			}
 			switch rec.Coll {
 			case CollAllReduce, CollBroadcast, CollAllGather, CollReduceScatter, CollAllToAll:
 			case CollSend, CollRecv:
@@ -132,32 +136,42 @@ func (r *Report) Validate() error {
 	return nil
 }
 
-// StreamRecords returns the records of one (gpu, stream) sorted by start
-// time (stage 1 of the GOAL pipeline).
-func (r *Report) StreamRecords(gpu, stream int) []Record {
-	var out []Record
-	for i := range r.Records {
-		if r.Records[i].GPU == gpu && r.Records[i].Stream == stream {
-			out = append(out, r.Records[i])
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].StartNs < out[j].StartNs })
-	return out
+// Stream is one CUDA stream's activity: the records of one (gpu, stream)
+// pair, as indices into Report.Records in start-time order.
+type Stream struct {
+	GPU, ID int
+	Records []int32
 }
 
-// Streams returns the sorted stream ids present for a GPU.
-func (r *Report) Streams(gpu int) []int {
-	set := map[int]bool{}
-	for i := range r.Records {
-		if r.Records[i].GPU == gpu {
-			set[r.Records[i].Stream] = true
+// ByStream buckets the records by (gpu, stream) in one sort (stage 1 of
+// the GOAL pipeline). Streams come in (gpu, stream id) order; within a
+// stream, records that start together keep their trace order. All
+// streams' index lists share one backing array.
+func (r *Report) ByStream() []Stream {
+	recs := r.Records
+	order := make([]int32, len(recs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ra, rb := &recs[a], &recs[b]
+		return cmp.Or(
+			cmp.Compare(ra.GPU, rb.GPU),
+			cmp.Compare(ra.Stream, rb.Stream),
+			cmp.Compare(ra.StartNs, rb.StartNs),
+			cmp.Compare(a, b), // tie-break on trace order: a stable sort
+		)
+	})
+	var out []Stream
+	for lo := 0; lo < len(order); {
+		first := &recs[order[lo]]
+		hi := lo + 1
+		for hi < len(order) && recs[order[hi]].GPU == first.GPU && recs[order[hi]].Stream == first.Stream {
+			hi++
 		}
+		out = append(out, Stream{GPU: first.GPU, ID: first.Stream, Records: order[lo:hi:hi]})
+		lo = hi
 	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
 	return out
 }
 

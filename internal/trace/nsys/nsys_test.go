@@ -54,6 +54,17 @@ func TestValidateErrors(t *testing.T) {
 		t.Fatal("bad peer accepted")
 	}
 	r = sampleReport()
+	r.Records[1].Coll = CollBroadcast
+	r.Records[1].Root = 4 // "world" has 4 members
+	if err := r.Validate(); err == nil || !strings.Contains(err.Error(), "record 1: root 4") {
+		t.Fatalf("out-of-range root accepted or not named: %v", err)
+	}
+	r = sampleReport()
+	r.Records[1].Root = -1
+	if r.Validate() == nil {
+		t.Fatal("negative root accepted")
+	}
+	r = sampleReport()
 	r.Records[0].EndNs = -5
 	if r.Validate() == nil {
 		t.Fatal("end<start accepted")
@@ -73,16 +84,37 @@ func TestValidateErrors(t *testing.T) {
 
 func TestStreamHelpers(t *testing.T) {
 	r := sampleReport()
-	if got := r.Streams(0); len(got) != 2 || got[0] != 7 || got[1] != 9 {
-		t.Fatalf("Streams(0)=%v", got)
+	// a second GPU-0 stream-7 kernel, traced out of order and starting
+	// with the allreduce: it must sort after it (stable on equal starts)
+	r.Records = append(r.Records, Record{GPU: 0, Stream: 7, Kind: KindKernel, Name: "late", StartNs: 1000, EndNs: 1200})
+	streams := r.ByStream()
+	type lane struct{ gpu, id int }
+	var lanes []lane
+	for _, s := range streams {
+		lanes = append(lanes, lane{s.GPU, s.ID})
 	}
-	recs := r.StreamRecords(0, 7)
-	if len(recs) != 2 || recs[0].Kind != KindKernel || recs[1].Coll != CollAllReduce {
-		t.Fatalf("StreamRecords(0,7)=%+v", recs)
+	want := []lane{{0, 7}, {0, 9}, {1, 7}, {2, 7}, {2, 9}, {3, 7}}
+	if !reflect.DeepEqual(lanes, want) {
+		t.Fatalf("ByStream lanes = %v, want %v", lanes, want)
 	}
-	// sorted by start
-	if recs[0].StartNs > recs[1].StartNs {
-		t.Fatal("not sorted")
+	recs := streams[0].Records
+	if len(recs) != 3 || recs[0] != 0 || recs[1] != 1 || recs[2] != 7 {
+		t.Fatalf("ByStream (0,7) records = %v, want [0 1 7]", recs)
+	}
+	total := 0
+	for _, s := range streams {
+		total += len(s.Records)
+		for i := 1; i < len(s.Records); i++ {
+			if r.Records[s.Records[i-1]].StartNs > r.Records[s.Records[i]].StartNs {
+				t.Fatalf("stream (%d,%d) not in start order: %v", s.GPU, s.ID, s.Records)
+			}
+		}
+	}
+	if total != len(r.Records) {
+		t.Fatalf("ByStream covers %d of %d records", total, len(r.Records))
+	}
+	if got := (&Report{NGPUs: 1}).ByStream(); len(got) != 0 {
+		t.Fatalf("empty report has streams %v", got)
 	}
 }
 
