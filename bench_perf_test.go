@@ -1,9 +1,9 @@
 // Paired perf benchmarks for the allocation-lean hot path work: each
-// benchmark pins one before/after pair (PR 5 cold-vs-hit style) so
+// benchmark pins one before/after pair (cold-vs-hit style) so
 // BENCH_ci.json records both sides of the trade and the analyze gate can
 // watch them drift. The shared workload is a 64-rank, multi-hundred-
-// thousand-op seeded schedule — big enough that allocation and barrier
-// behaviour dominate, small enough for bench-smoke's -benchtime 3x.
+// thousand-op seeded schedule — big enough that allocation behaviour
+// dominates, small enough for bench-smoke's -benchtime 3x.
 package atlahs
 
 import (
@@ -12,10 +12,7 @@ import (
 	"sync"
 	"testing"
 
-	"atlahs/internal/backend"
-	"atlahs/internal/engine"
 	"atlahs/internal/goal"
-	"atlahs/internal/sched"
 	"atlahs/internal/workload/micro"
 	"atlahs/sim"
 )
@@ -37,42 +34,6 @@ var perfWorkload = sync.OnceValue(func() (w struct {
 	w.enc = buf.Bytes()
 	return w
 })
-
-// BenchmarkAdaptiveVsFixedWindow pairs the two ParEngine windowing modes
-// (plus the serial baseline) on the shared schedule: same events, same
-// results — adaptive should spend fewer barriers on the sparse stretches
-// seeded point-to-point traffic produces.
-func BenchmarkAdaptiveVsFixedWindow(b *testing.B) {
-	w := perfWorkload()
-	run := func(b *testing.B, mk func(be *backend.LGS) engine.Sim) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			be := backend.NewLGS(backend.AIParams())
-			res, err := sched.Run(mk(be), w.s, be, sched.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Ops != w.ops {
-				b.Fatal("incomplete run")
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) {
-		run(b, func(be *backend.LGS) engine.Sim { return engine.New() })
-	})
-	b.Run("fixed-w4", func(b *testing.B) {
-		run(b, func(be *backend.LGS) engine.Sim {
-			eng := engine.NewParallel(w.s.NumRanks(), 4, be.Lookahead())
-			eng.SetAdaptive(false)
-			return eng
-		})
-	})
-	b.Run("adaptive-w4", func(b *testing.B) {
-		run(b, func(be *backend.LGS) engine.Sim {
-			return engine.NewParallel(w.s.NumRanks(), 4, be.Lookahead())
-		})
-	})
-}
 
 // BenchmarkGoalDecodeReaderVsZeroCopy pairs the two binary-GOAL decoders
 // on the same encoded bytes: the buffered streaming reader versus the

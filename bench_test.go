@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"testing"
 
 	"atlahs/internal/astra"
@@ -220,7 +221,7 @@ func BenchmarkParEngineVsSerial(b *testing.B) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			workers := workers
 			b.Run(fmt.Sprintf("%s/workers-%d", wl.name, workers), func(b *testing.B) {
-				// Construct the parallel engine directly: RunParallel would
+				// Construct the parallel engine directly: sim.Run would
 				// route workers=1 to the serial engine, and this pairing is
 				// about ParEngine behaviour at every worker count.
 				run(b, func() (*sched.Result, error) {
@@ -250,6 +251,10 @@ func BenchmarkExperimentSweepVsSerial(b *testing.B) {
 
 // --- simulation service --------------------------------------------------------
 
+// quietLogger drops the service's operational logs so bench output holds
+// only result lines.
+var quietLogger = slog.New(slog.DiscardHandler)
+
 // BenchmarkServiceColdVsCacheHit is the paired measurement behind the
 // service subsystem's claim: an identical re-submission is answered from
 // the content-addressed run cache without simulating, so the hit path
@@ -271,7 +276,7 @@ func BenchmarkServiceColdVsCacheHit(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			svc, err := service.New(service.Config{Jobs: 1, Workers: 1})
+			svc, err := service.New(service.Config{Jobs: 1, Workers: 1, Logger: quietLogger})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -284,7 +289,7 @@ func BenchmarkServiceColdVsCacheHit(b *testing.B) {
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
-		svc, err := service.New(service.Config{Jobs: 1, Workers: 1})
+		svc, err := service.New(service.Config{Jobs: 1, Workers: 1, Logger: quietLogger})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -103,7 +103,7 @@ type LookaheadProvider interface {
 }
 
 // LookaheadOf reports the backend's cross-rank delay bound, or 0 when the
-// backend does not provide one (so callers fall back to serial execution).
+// backend does not provide one (sim.Run then selects the serial engine).
 func LookaheadOf(be Backend) simtime.Duration {
 	if lp, ok := be.(LookaheadProvider); ok {
 		return lp.Lookahead()

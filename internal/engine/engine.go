@@ -208,25 +208,6 @@ func (e *Engine) Run() simtime.Time {
 	return e.now
 }
 
-// RunUntil executes events with timestamps <= deadline and returns the
-// current time afterwards. Events beyond the deadline stay queued.
-func (e *Engine) RunUntil(deadline simtime.Time) simtime.Time {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped && e.queue[0].at <= deadline {
-		if n := len(e.queue); n > e.peak {
-			e.peak = n
-		}
-		ev := e.queue.pop()
-		e.now = ev.at
-		e.Processed++
-		ev.fn()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
-}
-
 // Reset discards all pending events and rewinds the clock to zero so the
 // engine can be reused for another simulation.
 func (e *Engine) Reset() {

@@ -83,26 +83,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var fired []simtime.Time
-	for _, at := range []simtime.Time{5, 10, 15, 20} {
-		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
-	}
-	now := e.RunUntil(12)
-	if now != 12 {
-		t.Fatalf("now = %v, want 12", now)
-	}
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want events at 5 and 10 only", fired)
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Fatalf("fired %v after Run", fired)
-	}
-}
-
 func TestReset(t *testing.T) {
 	e := New()
 	e.Schedule(5, func() {})

@@ -19,37 +19,19 @@ import (
 // concurrently; cross-lane events produced during a window are buffered
 // per source lane and delivered at the window barrier.
 //
-// Adaptive windowing (the default; see SetAdaptive) widens each lane's
-// window to its individually provable bound instead of the uniform
-// T+lookahead. With h_i the lanes' earliest pending event times, la the
-// lookahead, and minOther_i the smallest head among the *other* non-empty
-// lanes, lane i may safely run to
-//
-//	end_i = min(minOther_i + la, h_i + 2·la)
-//
-// Soundness: a cross-lane event sent directly to lane i by some lane j is
-// stamped at ≥ h_j + la ≥ minOther_i + la ≥ end_i, and any chain of
-// reactions gains at least la per hop, so the earliest round trip back
-// into the window's minimum lane arrives at ≥ h_min + 2·la ≥ end_min
-// (execution is strictly before end, so arrival exactly at end is safe).
-// For every lane except the unique minimum this reduces to the classic
-// h_min + la window; the minimum lane — and in particular a lane running
-// alone, minOther = ∞ — fast-forwards through quiet stretches in 2·la
-// strides instead of la, halving the number of barriers on sparse phases.
-// The bound never changes *which* events a lane executes before any event
-// it could receive, only how many barriers separate them, so results are
-// bit-identical to fixed windows. Low-occupancy windows are additionally
-// batched onto fewer workers (and run inline on the coordinator when only
-// a handful of lanes are active) to keep the wakeup/barrier cost
-// proportional to the work available.
+// Every window has the same bound: T is the earliest pending event on any
+// lane, and every lane with work before T+lookahead runs to it. Low-
+// occupancy windows are batched onto fewer workers (and run inline on the
+// coordinator when only a handful of lanes are active) to keep the
+// wakeup/barrier cost proportional to the work available.
 //
 // Determinism: every event carries the key (at, schedAt, schedLane,
 // schedSeq), assigned at scheduling time from the scheduling lane's own
 // clock and counter. The key is a function of each lane's deterministic
 // execution history only — never of cross-lane goroutine interleaving or
 // window placement — and each lane executes its events in key order. The
-// simulation therefore evolves identically for any worker count and for
-// either windowing mode; workers change wall-clock time, nothing else.
+// simulation therefore evolves identically for any worker count; workers
+// change wall-clock time, nothing else.
 //
 // Relative to the serial Engine, which breaks same-timestamp ties by
 // global insertion order, execution is identical except in one corner:
@@ -65,7 +47,6 @@ type ParEngine struct {
 	lookahead simtime.Duration
 	lanes     []*lane
 	running   bool
-	adaptive  bool
 	stop      atomic.Bool
 	now       simtime.Time
 	// stats accumulates the coordinator-side window counters (see
@@ -173,9 +154,6 @@ type lane struct {
 	// It is truncated, never freed, so the outbox allocation is amortised
 	// across all windows of a run.
 	out []outEvent
-	// end is this window's per-lane execution bound, set by the
-	// coordinator before dispatch (see Run for the adaptive bound).
-	end simtime.Time
 	// openAt/openDone snapshot the lane's head time and processed count
 	// at window open; only written when a Tracer is attached, so traced
 	// runs pay two coordinator-side stores per active lane per window and
@@ -198,26 +176,12 @@ func NewParallel(lanes, workers int, lookahead simtime.Duration) *ParEngine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &ParEngine{workers: workers, lookahead: lookahead, adaptive: true, lanes: make([]*lane, lanes)}
+	p := &ParEngine{workers: workers, lookahead: lookahead, lanes: make([]*lane, lanes)}
 	for i := range p.lanes {
 		p.lanes[i] = &lane{id: i, eng: p}
 	}
 	return p
 }
-
-// SetAdaptive switches between adaptive per-lane windows (the default)
-// and classic uniform T+lookahead windows. Both modes produce
-// bit-identical results; fixed windows exist for paired benchmarking and
-// as a belt-and-braces escape hatch. Only valid outside Run.
-func (p *ParEngine) SetAdaptive(on bool) {
-	if p.running {
-		panic("engine: SetAdaptive during Run")
-	}
-	p.adaptive = on
-}
-
-// Adaptive reports whether adaptive windowing is enabled.
-func (p *ParEngine) Adaptive() bool { return p.adaptive }
 
 // ReserveLane pre-sizes one lane's event heap for at least n pending
 // events (see Engine.Reserve). Only valid outside Run.
@@ -233,12 +197,6 @@ func (p *ParEngine) ReserveLane(ln, n int) {
 
 // Lanes reports the number of lanes.
 func (p *ParEngine) Lanes() int { return len(p.lanes) }
-
-// Workers reports the worker-goroutine budget.
-func (p *ParEngine) Workers() int { return p.workers }
-
-// Lookahead reports the conservative window width.
-func (p *ParEngine) Lookahead() simtime.Duration { return p.lookahead }
 
 // Now implements Sim. On the root engine it is the time of the last
 // executed event (lanes carry their own clocks while running).
@@ -315,65 +273,30 @@ func (p *ParEngine) Run() simtime.Time {
 	active := make([]*lane, 0, len(p.lanes))
 	for !p.stop.Load() {
 		// The window base is the earliest pending event anywhere; every
-		// event executed this window is >= T, so cross-lane events (>= its
-		// lane's now + lookahead) land at or beyond the window end. The
-		// scan also tracks the second-smallest head (m2, counting
-		// duplicates of the minimum), which the adaptive bound needs.
-		var m1, m2 simtime.Time
-		nheads, pending := 0, 0
+		// event executed this window is >= m1, so cross-lane events (>= its
+		// lane's now + lookahead) land at or beyond the window end.
+		var m1 simtime.Time
+		pending := 0
 		for _, l := range p.lanes {
-			pending += len(l.queue)
 			if len(l.queue) == 0 {
 				continue
 			}
-			h := l.queue[0].at
-			switch {
-			case nheads == 0:
+			if h := l.queue[0].at; pending == 0 || h < m1 {
 				m1 = h
-			case h < m1:
-				m2 = m1
-				m1 = h
-			case nheads == 1 || h < m2:
-				m2 = h
 			}
-			nheads++
+			pending += len(l.queue)
 		}
-		if nheads == 0 {
+		if pending == 0 {
 			break
 		}
 		if pending > p.stats.PeakPending {
 			p.stats.PeakPending = pending
 		}
 		p.stats.Windows++
-		windowEnd := m1.Add(p.lookahead)
-		// Adaptive bound for lanes at the minimum head: min(minOther +
-		// la, m1 + 2·la), where minOther is m2, or absent entirely when
-		// this is the only non-empty lane. With several lanes tied at the
-		// minimum, m2 == m1 and the bound collapses to the fixed window —
-		// no special casing needed. See the type comment for the
-		// soundness argument.
-		minEnd := windowEnd
-		if p.adaptive {
-			minEnd = m1.Add(2 * p.lookahead)
-			if nheads > 1 && m2.Add(p.lookahead) < minEnd {
-				minEnd = m2.Add(p.lookahead)
-			}
-			if minEnd > windowEnd {
-				p.stats.WidenedWindows++
-			}
-		}
+		end := m1.Add(p.lookahead)
 		active = active[:0]
 		for _, l := range p.lanes {
-			if len(l.queue) == 0 {
-				continue
-			}
-			h := l.queue[0].at
-			end := windowEnd
-			if h == m1 {
-				end = minEnd
-			}
-			if h < end {
-				l.end = end
+			if len(l.queue) > 0 && l.queue[0].at < end {
 				active = append(active, l)
 			}
 		}
@@ -387,7 +310,7 @@ func (p *ParEngine) Run() simtime.Time {
 				l.openDone = l.processed
 			}
 		}
-		p.runWindow(pool, active)
+		p.runWindow(pool, active, end)
 		if p.tracer != nil {
 			// The pool's barrier has joined the workers, so reading each
 			// lane's clock and counter here is race-free.
@@ -422,29 +345,20 @@ func (p *ParEngine) Run() simtime.Time {
 // order is fixed by the keys, so batching cannot affect results.
 const batchLanes = 4
 
-// runWindow executes every active lane up to (strictly before) its
-// per-lane end, spreading lanes across the pool's persistent worker
-// goroutines.
-func (p *ParEngine) runWindow(pool *winPool, active []*lane) {
-	nw := p.workers
-	if nw > len(active) {
-		nw = len(active)
-	}
-	if p.adaptive {
-		if batched := (len(active) + batchLanes - 1) / batchLanes; nw > batched {
-			nw = batched
-		}
-	}
+// runWindow executes every active lane up to (strictly before) end,
+// spreading lanes across the pool's persistent worker goroutines.
+func (p *ParEngine) runWindow(pool *winPool, active []*lane, end simtime.Time) {
+	nw := min(p.workers, (len(active)+batchLanes-1)/batchLanes)
 	if pool == nil || nw <= 1 {
 		p.stats.InlineWindows++
 		for _, l := range active {
-			l.runTo(l.end)
+			l.runTo(end)
 		}
 		return
 	}
 	p.stats.DispatchedWindows++
 	p.stats.WorkerWakeups += uint64(nw)
-	pool.dispatch(nw, active)
+	pool.dispatch(nw, active, end)
 }
 
 // winPool is the persistent window-execution pool: its goroutines live for
@@ -456,10 +370,11 @@ type winPool struct {
 	// jobs carries one wakeup token per participating worker per window;
 	// closing it retires the pool.
 	jobs chan struct{}
-	// active describes the current window (each lane carries its own
-	// execution bound in lane.end); written by the coordinator before the
-	// wakeup sends and read by workers after receiving one.
+	// active and end describe the current window; written by the
+	// coordinator before the wakeup sends and read by workers after
+	// receiving one.
 	active []*lane
+	end    simtime.Time
 	// next is the shared lane-stealing cursor.
 	next atomic.Int64
 	// wg is the window barrier.
@@ -500,16 +415,15 @@ func (wp *winPool) runShard() {
 		if i >= len(wp.active) {
 			return
 		}
-		l := wp.active[i]
-		l.runTo(l.end)
+		wp.active[i].runTo(wp.end)
 	}
 }
 
 // dispatch runs one window across nw workers and blocks until the barrier.
 // A worker panic is rethrown here, after the remaining workers finish, so
 // the engine's failure mode matches the old spawn-per-window behaviour.
-func (wp *winPool) dispatch(nw int, active []*lane) {
-	wp.active = active
+func (wp *winPool) dispatch(nw int, active []*lane, end simtime.Time) {
+	wp.active, wp.end = active, end
 	wp.next.Store(0)
 	wp.wg.Add(nw)
 	for w := 0; w < nw; w++ {

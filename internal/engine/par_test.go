@@ -84,6 +84,62 @@ func TestParEngineMatchesSerialEngine(t *testing.T) {
 	}
 }
 
+// TestParEngineSparseLanesMatchSerial runs a sparse workload — one busy
+// lane ticking alone through a long quiet stretch while the other lanes
+// hold only far-future events, then a fan-out the idle lanes answer —
+// and requires every lane's execution log to match the serial engine's
+// entry by entry. Each lane appends only to its own log, so lanes running
+// concurrently never share a slice.
+func TestParEngineSparseLanesMatchSerial(t *testing.T) {
+	const lanes = 8
+	hop := 5 * simtime.Microsecond
+	build := func(eng Sim) [][]string {
+		logs := make([][]string, lanes)
+		var tick func(round int)
+		tick = func(round int) {
+			logs[0] = append(logs[0], fmt.Sprintf("tick %d at %v", round, eng.Lane(0).Now()))
+			if round < 50 {
+				eng.Lane(0).After(simtime.Microsecond, func() { tick(round + 1) })
+				return
+			}
+			for l := 1; l < lanes; l++ {
+				dst := l
+				eng.Lane(0).ScheduleOn(dst, eng.Lane(0).Now().Add(hop), func() {
+					logs[dst] = append(logs[dst], fmt.Sprintf("poke at %v", eng.Lane(dst).Now()))
+				})
+			}
+		}
+		eng.Lane(0).Schedule(0, func() { tick(0) })
+		for l := 1; l < lanes; l++ {
+			dst := l
+			eng.Lane(dst).Schedule(simtime.Time(500*simtime.Microsecond), func() {
+				logs[dst] = append(logs[dst], fmt.Sprintf("late at %v", eng.Lane(dst).Now()))
+			})
+		}
+		return logs
+	}
+	serial := New()
+	serialLogs := build(serial)
+	serialEnd := serial.Run()
+	for _, workers := range []int{1, 2, 4, 8} {
+		eng := NewParallel(lanes, workers, hop)
+		parLogs := build(eng)
+		if parEnd := eng.Run(); parEnd != serialEnd {
+			t.Fatalf("workers=%d: end %v, serial %v", workers, parEnd, serialEnd)
+		}
+		for l := range serialLogs {
+			if len(parLogs[l]) != len(serialLogs[l]) {
+				t.Fatalf("workers=%d lane %d: %d log entries, serial %d", workers, l, len(parLogs[l]), len(serialLogs[l]))
+			}
+			for i := range serialLogs[l] {
+				if parLogs[l][i] != serialLogs[l][i] {
+					t.Fatalf("workers=%d lane %d entry %d: %q, serial %q", workers, l, i, parLogs[l][i], serialLogs[l][i])
+				}
+			}
+		}
+	}
+}
+
 // TestParEngineLaneOrdering checks the deterministic key: same-lane events
 // at one timestamp fire in scheduling order, and a lane's clock never runs
 // backwards.
@@ -171,4 +227,57 @@ func TestNewParallelRejectsBadConfig(t *testing.T) {
 			NewParallel(c.lanes, 2, c.lookahead)
 		})
 	}
+}
+
+// TestEngineAllocsPerEvent is the allocation-regression gate on the
+// per-event hot path: with the typed 4-ary heaps and a pre-sized queue, a
+// steady-state event (pop, run, push a successor) must not allocate.
+func TestEngineAllocsPerEvent(t *testing.T) {
+	const events = 1000
+	t.Run("serial", func(t *testing.T) {
+		e := New()
+		e.Reserve(16)
+		count := 0
+		var fn Handler
+		fn = func() {
+			count++
+			if count < events {
+				e.After(simtime.Nanosecond, fn)
+			}
+		}
+		// Warm up so the heap and closure are steady state, then measure.
+		allocs := testing.AllocsPerRun(5, func() {
+			e.Reset()
+			count = 0
+			e.Schedule(0, fn)
+			e.Run()
+		})
+		if per := allocs / events; per > 0.01 {
+			t.Fatalf("serial engine allocates %.3f times per event (%.0f per %d-event run); the hot path must be allocation-free", per, allocs, events)
+		}
+	})
+	t.Run("parallel-lane", func(t *testing.T) {
+		// Workers=1 keeps AllocsPerRun meaningful (no pool goroutines
+		// allocating concurrently); the lane push/pop path is identical
+		// under more workers.
+		p := NewParallel(2, 1, simtime.Microsecond)
+		p.ReserveLane(0, 16)
+		count := 0
+		var fn Handler
+		fn = func() {
+			count++
+			if count < events {
+				p.Lane(0).After(simtime.Nanosecond, fn)
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			p.Reset()
+			count = 0
+			p.Lane(0).Schedule(0, fn)
+			p.Run()
+		})
+		if per := allocs / events; per > 0.01 {
+			t.Fatalf("parallel lane allocates %.3f times per event (%.0f per %d-event run); the hot path must be allocation-free", per, allocs, events)
+		}
+	})
 }

@@ -30,9 +30,6 @@ type RunStats struct {
 	// Windows is the number of conservative windows executed (parallel
 	// engine only).
 	Windows uint64
-	// WidenedWindows counts windows whose minimum-lane bound the adaptive
-	// mode widened past the fixed m1+lookahead window.
-	WidenedWindows uint64
 	// InlineWindows counts windows run inline on the coordinator (low
 	// occupancy or a serial worker budget) with no barrier hand-off.
 	InlineWindows uint64

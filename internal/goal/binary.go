@@ -2,6 +2,7 @@ package goal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -28,6 +29,14 @@ import (
 // (paper Fig 9).
 
 const binaryMagic = "GOALB1\n"
+
+// MagicLen is the length of the binary GOAL header: the prefix a
+// streaming loader must peek at before calling IsBinary.
+const MagicLen = len(binaryMagic)
+
+// IsBinary reports whether b starts with the binary GOAL header. It is
+// the one test that tells binary GOAL from textual GOAL.
+func IsBinary(b []byte) bool { return bytes.HasPrefix(b, []byte(binaryMagic)) }
 
 // preallocCap bounds the capacity any single decode allocation may claim
 // from a declared element count before the elements are actually read.
@@ -147,7 +156,7 @@ func ReadBinary(r io.Reader) (*Schedule, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("goal: reading magic: %w", err)
 	}
-	if string(magic) != binaryMagic {
+	if !IsBinary(magic) {
 		return nil, fmt.Errorf("goal: bad magic %q (not a binary GOAL file)", magic)
 	}
 	d := bufVarintReader{br: br}

@@ -1,7 +1,6 @@
 package goal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -62,7 +61,7 @@ func (c *byteCursor) byte() (byte, error) {
 // ReadBinary's (the fuzzer pins this) but allocates each rank's ops and
 // dependency arena exactly once.
 func ParseBinary(data []byte) (*Schedule, error) {
-	if !bytes.HasPrefix(data, []byte(binaryMagic)) {
+	if !IsBinary(data) {
 		n := len(data)
 		if n > len(binaryMagic) {
 			n = len(binaryMagic)

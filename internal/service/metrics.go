@@ -46,7 +46,6 @@ type serviceMetrics struct {
 var engineAggregates = []struct{ name, help string }{
 	{"atlahs_engine_events_total", "engine events executed across runs"},
 	{"atlahs_engine_windows_total", "conservative windows executed across runs"},
-	{"atlahs_engine_windows_widened_total", "adaptively widened windows across runs"},
 	{"atlahs_engine_windows_inline_total", "inline-executed windows across runs"},
 	{"atlahs_engine_windows_dispatched_total", "pool-dispatched windows across runs"},
 	{"atlahs_engine_worker_wakeups_total", "worker wakeups across runs"},

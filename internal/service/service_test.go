@@ -78,8 +78,15 @@ func countSpec(tag int64) sim.Spec {
 		Backend: "countsim"}
 }
 
+// quietLogger drops the service's operational logs in tests that do not
+// capture them.
+var quietLogger = slog.New(slog.DiscardHandler)
+
 func newService(t *testing.T, cfg Config) *Service {
 	t.Helper()
+	if cfg.Logger == nil {
+		cfg.Logger = quietLogger
+	}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -476,7 +483,7 @@ func TestFailedRunReportsError(t *testing.T) {
 
 // TestCloseDrains: Close terminates every admitted run.
 func TestCloseDrains(t *testing.T) {
-	svc, err := New(Config{Jobs: 1, Queue: 4})
+	svc, err := New(Config{Jobs: 1, Queue: 4, Logger: quietLogger})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +513,7 @@ func TestRestartRebuildsCache(t *testing.T) {
 	spec := countSpec(7000)
 	before := simCount.Load()
 
-	svc, err := New(Config{Jobs: 1, ArtifactDir: dir})
+	svc, err := New(Config{Jobs: 1, ArtifactDir: dir, Logger: quietLogger})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +554,7 @@ func TestRestartRebuildsCache(t *testing.T) {
 func TestRestartSkipsCorruptArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	spec := countSpec(7100)
-	svc, err := New(Config{Jobs: 1, ArtifactDir: dir})
+	svc, err := New(Config{Jobs: 1, ArtifactDir: dir, Logger: quietLogger})
 	if err != nil {
 		t.Fatal(err)
 	}

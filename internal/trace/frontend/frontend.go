@@ -209,9 +209,6 @@ func FirstLine(prefix []byte, commentPrefixes ...string) []byte {
 	return nil
 }
 
-// goalBinaryMagic mirrors internal/goal's binary header.
-const goalBinaryMagic = "GOALB1\n"
-
 func init() {
 	// The GOAL codecs themselves are the pass-through frontend: a "trace"
 	// that is already a schedule, textual or binary.
@@ -219,7 +216,7 @@ func init() {
 		Name:       "goal",
 		Extensions: []string{".goal", ".bin"},
 		Sniff: func(prefix []byte) bool {
-			if bytes.HasPrefix(prefix, []byte(goalBinaryMagic)) {
+			if goal.IsBinary(prefix) {
 				return true
 			}
 			return bytes.HasPrefix(FirstLine(prefix, "//"), []byte("num_ranks "))
@@ -229,7 +226,9 @@ func init() {
 				return nil, fmt.Errorf("frontend: \"goal\" takes no config, got %T", cfg)
 			}
 			br := bufio.NewReaderSize(r, 1<<16)
-			if magic, err := br.Peek(len(goalBinaryMagic)); err == nil && string(magic) == goalBinaryMagic {
+			// A short or failed peek is not binary GOAL; the text parser
+			// then reports any read error.
+			if magic, _ := br.Peek(goal.MagicLen); goal.IsBinary(magic) {
 				return goal.ReadBinary(br)
 			}
 			return goal.ParseText(br)
@@ -238,7 +237,7 @@ func init() {
 			if cfg != nil {
 				return nil, fmt.Errorf("frontend: \"goal\" takes no config, got %T", cfg)
 			}
-			if bytes.HasPrefix(b, []byte(goalBinaryMagic)) {
+			if goal.IsBinary(b) {
 				return goal.ParseBinary(b)
 			}
 			return goal.ParseText(bytes.NewReader(b))

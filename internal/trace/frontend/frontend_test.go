@@ -107,6 +107,17 @@ func TestGoalFrontend(t *testing.T) {
 	if _, err := def.Convert(bytes.NewReader(bin.Bytes()), struct{}{}); err == nil {
 		t.Fatal("goal frontend should reject configs")
 	}
+	// The binary header without its newline is not GOAL of either kind.
+	near := []byte("GOALB1x\x01\x01")
+	if def.Sniff(near) {
+		t.Fatal("near-miss binary header sniffed as GOAL")
+	}
+	if _, err := def.Convert(bytes.NewReader(near), nil); err == nil {
+		t.Fatal("Convert accepted a near-miss binary header")
+	}
+	if _, err := def.ConvertBytes(near, nil); err == nil {
+		t.Fatal("ConvertBytes accepted a near-miss binary header")
+	}
 }
 
 func TestConfigAs(t *testing.T) {

@@ -270,8 +270,8 @@ func decodeWorkload(w *wireJob) (*Workload, error) {
 		j.Model = &ModelGen{Ranks: w.Model.Ranks, Seed: w.Model.Seed, Doc: nilIfEmpty(w.Model.Doc)}
 	}
 	if len(w.Schedule) > 0 {
-		if !bytes.HasPrefix(w.Schedule, []byte(goalMagic)) {
-			return nil, fmt.Errorf("sim: wire schedule payload must be binary GOAL (%s...); ship textual GOAL via goal_bytes", goalMagic)
+		if !goal.IsBinary(w.Schedule) {
+			return nil, fmt.Errorf("sim: wire schedule payload must be binary GOAL; ship textual GOAL via goal_bytes")
 		}
 		s, err := goal.ParseBinary(w.Schedule)
 		if err != nil {

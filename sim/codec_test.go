@@ -199,6 +199,8 @@ func TestUnmarshalSpecRejects(t *testing.T) {
 		"bad-config-field": {`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2},"backend":"lgs","config":{"Nope":1}}`,
 			"unknown field"},
 		"text-schedule": {`{"schema":"atlahs.spec/v1","schedule":"bnVtX3JhbmtzIDEK"}`, "binary GOAL"},
+		// "GOALB1x...": the header without its newline is not binary GOAL.
+		"near-magic-schedule": {`{"schema":"atlahs.spec/v1","schedule":"R09BTEIxeAEB"}`, "binary GOAL"},
 		"wire-topo": {`{"schema":"atlahs.spec/v1","synthetic":{"pattern":"ring","ranks":2},"backend":"pkt","config":{"Topo":{}}}`,
 			"cannot cross the wire"},
 		"config-sans-frontend": {`{"schema":"atlahs.spec/v1","trace_path":"x","frontend_config":{}}`, "named explicitly"},

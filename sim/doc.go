@@ -3,7 +3,8 @@
 // (resolved through a registry that third-party simulators can join via
 // Register), and the execution knobs (worker budget, calc scaling, seed).
 // Run executes the spec, picking the serial or sharded parallel engine
-// from the backend's declared lookahead, streams op completions, periodic
+// from the worker budget and the backend's declared lookahead (the
+// parallel engine's conservative window width), streams op completions, periodic
 // progress and backend network counters to an optional Observer, and
 // returns a typed Result: makespan, per-rank completion times, the
 // schedule's size accounting, executed-op tallies and the backend's fabric
@@ -63,10 +64,10 @@
 // Every run is observable without being instrumented by its caller:
 // Result.Metrics carries an atlahs.metrics/v1 snapshot (see the results
 // package) of the engine's and scheduler's execution counters —
-// conservative windows, adaptive widenings, peak queue depths, worker
-// wakeups — and Spec.Timeline optionally attaches a bounded recorder
-// (NewTimeline) that captures op completions and per-lane window spans
-// as Chrome trace-event JSON loadable in Perfetto. Timeline timestamps
+// conservative windows, peak queue depths, worker wakeups — and
+// Spec.Timeline optionally attaches a bounded recorder (NewTimeline) that
+// captures op completions and per-lane window spans as Chrome
+// trace-event JSON loadable in Perfetto. Timeline timestamps
 // are simulated time, so the recorded document is as deterministic as
 // the run itself. Like Observer, a Timeline is a process-local hook:
 // MarshalSpec rejects specs carrying one, and neither participates in

@@ -228,6 +228,11 @@ func TestFrontendErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "only meaningful with") {
 		t.Fatalf("frontend without trace should error, got %v", err)
 	}
+	// "GOALB1x...": the binary header without its newline is neither
+	// binary nor textual GOAL.
+	if _, err := DecodeGOAL([]byte("GOALB1x\x01\x01")); err == nil {
+		t.Fatal("DecodeGOAL accepted a near-miss binary header")
+	}
 	// The goal frontend takes no config at all.
 	if _, err := Run(context.Background(), Spec{Workload: Workload{Trace: bin.Bytes(), FrontendConfig: struct{}{}}}); err == nil {
 		t.Fatal("goal frontend with config should error")

@@ -73,12 +73,13 @@ func TestGoldenLGSSerial(t *testing.T) {
 	}
 }
 
-// TestGoldenLGSParallel: sim.Run with Workers=4 must match the old
-// sched.RunParallel path bit for bit (which in turn matches serial — the
-// engine equivalence suite in internal/backend pins that).
+// TestGoldenLGSParallel: sim.Run with Workers=4 must match a hand-wired
+// 4-worker ParEngine under sched.Run bit for bit (which in turn matches
+// serial — the engine equivalence suite in internal/backend pins that).
 func TestGoldenLGSParallel(t *testing.T) {
 	for name, s := range goldenWorkloads() {
-		want, err := sched.RunParallel(4, s, backend.NewLGS(AIParams()), sched.Options{})
+		be := backend.NewLGS(AIParams())
+		want, err := sched.Run(engine.NewParallel(s.NumRanks(), 4, be.Lookahead()), s, be, sched.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,10 +57,10 @@ type Result struct {
 	// nil otherwise.
 	Net *NetStats
 	// Metrics is the run's atlahs.metrics/v1 snapshot: engine and
-	// scheduler execution counters (windows, adaptive widenings, peak
-	// queue depths, ...). Window counts are deterministic; the
-	// execution-strategy counters describe how this process ran them and
-	// follow the worker budget, like Workers and Wall.
+	// scheduler execution counters (windows, peak queue depths, ...).
+	// Window counts are deterministic; the execution-strategy counters
+	// describe how this process ran them and follow the worker budget,
+	// like Workers and Wall.
 	Metrics *results.MetricsSnapshot
 	// Wall is the host time the simulation took.
 	Wall time.Duration
@@ -113,6 +113,12 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, err
 	}
 
+	// The one engine selector: the sharded parallel engine runs only with
+	// a worker budget above 1, more than one rank and a positive lookahead
+	// (the LGS wire latency L). Each of its windows runs every lane to the
+	// earliest pending event plus that lookahead. Anything else — L = 0,
+	// or a shared-fabric backend, which Validate already holds to one
+	// worker — runs on the serial engine.
 	workers := resolveWorkers(spec.Workers)
 	lookahead := core.LookaheadOf(be)
 	parallel := workers > 1 && lookahead > 0 && sch.NumRanks() > 1

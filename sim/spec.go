@@ -232,7 +232,7 @@ func placementPolicy(name string) (goal.Placement, error) {
 }
 
 // LoadGOAL reads a GOAL schedule file, textual or binary (auto-detected by
-// the GOALB1 magic). Binary files load whole and decode through the
+// goal.IsBinary). Binary files load whole and decode through the
 // zero-copy goal.ParseBinary path.
 func LoadGOAL(path string) (*Schedule, error) {
 	f, err := os.Open(path)
@@ -241,7 +241,9 @@ func LoadGOAL(path string) (*Schedule, error) {
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
-	if magic, err := br.Peek(len(goalMagic)); err == nil && string(magic) == goalMagic {
+	// A short or failed peek is not binary GOAL; the text parser then
+	// reports any read error.
+	if magic, _ := br.Peek(goal.MagicLen); goal.IsBinary(magic) {
 		b, err := io.ReadAll(br)
 		if err != nil {
 			return nil, err
@@ -254,11 +256,8 @@ func LoadGOAL(path string) (*Schedule, error) {
 // DecodeGOAL parses a serialised GOAL schedule, textual or binary
 // (auto-detected). Binary input decodes zero-copy via goal.ParseBinary.
 func DecodeGOAL(b []byte) (*Schedule, error) {
-	if bytes.HasPrefix(b, []byte(goalMagic)) {
+	if goal.IsBinary(b) {
 		return goal.ParseBinary(b)
 	}
 	return goal.ParseText(bytes.NewReader(b))
 }
-
-// goalMagic is the binary GOAL header (see internal/goal/binary.go).
-const goalMagic = "GOALB1"

@@ -38,7 +38,6 @@ func runMetrics(eng engine.Sim, res *sched.Result) *results.MetricsSnapshot {
 	reg.Counter("atlahs_engine_events_total", "engine events executed").Add(st.Events)
 	reg.Gauge("atlahs_engine_peak_pending", "high-water mark of queued engine events").Set(int64(st.PeakPending))
 	reg.Counter("atlahs_engine_windows_total", "conservative windows executed (parallel engine)").Add(st.Windows)
-	reg.Counter("atlahs_engine_windows_widened_total", "windows the adaptive mode widened past the fixed lookahead bound").Add(st.WidenedWindows)
 	reg.Counter("atlahs_engine_windows_inline_total", "windows run inline on the coordinator").Add(st.InlineWindows)
 	reg.Counter("atlahs_engine_windows_dispatched_total", "windows dispatched to the worker pool").Add(st.DispatchedWindows)
 	reg.Counter("atlahs_engine_worker_wakeups_total", "worker wakeups across dispatched windows").Add(st.WorkerWakeups)
